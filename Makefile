@@ -55,9 +55,9 @@ lint:
 # harness (worker pool + singleflight memo), the engine it drives (now
 # phase-parallel), the trace/workload layers it fans goroutines over,
 # the differential conformance checker, the daemon's service + store
-# layers and the peer mesh federating them, the failover client that
-# fans sweeps across daemons, and the cost-model scheduler (core state
-# machine, fleet driver, sim harness).
+# layers and the peer mesh federating them, the retrying HTTP client,
+# and the cost-model scheduler that fans sweeps across daemons (core
+# state machine, fleet dispatcher, sim harness).
 race:
 	$(GO) test -race -short ./internal/bench/ ./internal/sim/ ./internal/conformance/ \
 		./internal/server/ ./internal/store/ ./internal/mesh/ ./internal/client/ ./internal/static/ \

@@ -26,7 +26,6 @@ package arcsim
 import (
 	"fmt"
 
-	"arcsim/internal/aim"
 	"arcsim/internal/config"
 	"arcsim/internal/core"
 	"arcsim/internal/machine"
@@ -168,9 +167,7 @@ func runTrace(cfg Config, t *Trace) (*Report, error) {
 		}
 		mcfg = parsed
 	}
-	if cfg.AIMEntries > 0 {
-		mcfg.AIM = aim.Config{Entries: cfg.AIMEntries, Ways: 8, Latency: mcfg.AIM.Latency}
-	}
+	mcfg = mcfg.WithAIMEntries(cfg.AIMEntries)
 	if cfg.FailStop {
 		mcfg.Policy = core.FailStop
 	}

@@ -2,6 +2,7 @@ package arcsim_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -184,6 +185,47 @@ func TestAIMEntriesOverride(t *testing.T) {
 		AIMEntries: 100,
 	}); err == nil {
 		t.Error("invalid AIM geometry accepted")
+	}
+}
+
+// TestAIMEntriesKeepsMachineAssociativity: AIMEntries overrides only
+// the AIM capacity. On a custom machine with a 4-way AIM, asking for
+// 4096 entries through AIMEntries must simulate exactly the machine
+// whose JSON says 4096 entries — not an 8-way AIM of that size.
+func TestAIMEntriesKeepsMachineAssociativity(t *testing.T) {
+	def, err := arcsim.DefaultMachineJSON(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machineJSON := func(entries string) []byte {
+		s := strings.Replace(string(def), `"Entries": 32768`, `"Entries": `+entries, 1)
+		s = strings.Replace(s, `"Ways": 8,
+    "Latency": 3`, `"Ways": 4,
+    "Latency": 3`, 1)
+		if !strings.Contains(s, `"Ways": 4`) || !strings.Contains(s, `"Entries": `+entries) {
+			t.Fatalf("default machine JSON changed shape:\n%s", def)
+		}
+		return []byte(s)
+	}
+	run := func(entriesJSON string, aimEntries int) *arcsim.Report {
+		t.Helper()
+		rep, err := arcsim.Run(arcsim.Config{
+			Protocol: arcsim.CEPlus, Workload: "aimstress", Scale: 0.2,
+			MachineJSON: machineJSON(entriesJSON), AIMEntries: aimEntries,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	inJSON := run("4096", 0)
+	overridden := run("32768", 4096)
+	if inJSON.AIMMisses == 0 {
+		t.Fatal("aimstress missed nothing in a 4096-entry AIM: the test exercises no pressure")
+	}
+	if !reflect.DeepEqual(inJSON, overridden) {
+		t.Fatalf("AIMEntries override changed more than capacity: AIM misses %d (entries in JSON) vs %d (AIMEntries)",
+			inJSON.AIMMisses, overridden.AIMMisses)
 	}
 }
 

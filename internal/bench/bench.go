@@ -51,12 +51,13 @@ type Config struct {
 	// canonical key. Results served from it carry CacheHit=true.
 	Cache Cache
 	// Exec, when non-nil, replaces local execution: every run the memo
-	// and Cache could not serve is handed to it (cmd/experiments wires a
-	// client.Pool here to spread sweeps across daemons). An error
-	// wrapping ErrRemoteUnavailable falls back to executing locally —
-	// the sweep completes on one machine when the whole pool is down;
-	// any other error is the run's result, exactly as a local failure
-	// would be. Exec must honor ctx and is called concurrently.
+	// and Cache could not serve is handed to it (cmd/experiments -remote
+	// wires the sched/fleet scheduler here to spread sweeps across
+	// daemons). An error wrapping ErrRemoteUnavailable falls back to
+	// executing locally — the sweep completes on one machine when the
+	// whole fleet is down; any other error is the run's result, exactly
+	// as a local failure would be. Exec must honor ctx and is called
+	// concurrently.
 	Exec func(ctx context.Context, spec RunSpec) (*sim.Result, error)
 	// Tier enables analyze-first tiered execution: every requested run
 	// first consults the static analyzer (memoized per workload/cores),
@@ -548,11 +549,7 @@ func (r *Runner) acquire(proto string, cores, aimEntries int) (*machine.Machine,
 		return pair.m, pair.p, nil
 	}
 	r.poolMu.Unlock()
-	mcfg := machine.Default(cores)
-	if aimEntries > 0 {
-		mcfg.AIM.Entries = aimEntries
-	}
-	return protocols.Build(proto, mcfg)
+	return protocols.Build(proto, machine.Default(cores).WithAIMEntries(aimEntries))
 }
 
 // release returns a pair to the recycle pool. Results never alias
@@ -650,10 +647,7 @@ func (r *Runner) execute(ctx context.Context, key runKey) (*sim.Result, error) {
 		return nil, err
 	}
 
-	mcfg := machine.Default(cores)
-	if key.aim > 0 {
-		mcfg.AIM.Entries = key.aim
-	}
+	mcfg := machine.Default(cores).WithAIMEntries(key.aim)
 	// Tiered engine dispatch: a trace whose barrier phases the planner
 	// proves disjoint simulates phase-parallel; everything else (and
 	// every run with tiering off) takes the straight-line engine. Both

@@ -30,7 +30,7 @@ func TestExecServesRuns(t *testing.T) {
 	if res.Cycles != 123 {
 		t.Fatalf("remote result not served: %+v", res)
 	}
-	// A repeat hits the memo, not the pool.
+	// A repeat hits the memo, not the fleet.
 	if _, err := r.Result("fft", "arc", 4, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestExecServesRuns(t *testing.T) {
 	}
 }
 
-// TestExecFallsBackLocally: an Exec that reports the pool down must not
+// TestExecFallsBackLocally: an Exec that reports the fleet down must not
 // fail the run — the runner executes locally and the result is real.
 func TestExecFallsBackLocally(t *testing.T) {
 	var calls atomic.Int64
@@ -87,7 +87,7 @@ func TestExecErrorFailsRun(t *testing.T) {
 }
 
 // TestExecExactlyOncePerSpec hammers the memo from many goroutines and
-// checks each distinct spec reaches the pool exactly once — the
+// checks each distinct spec reaches the fleet exactly once — the
 // client-side half of the sweep's no-double-execution guarantee.
 func TestExecExactlyOncePerSpec(t *testing.T) {
 	var mu sync.Mutex

@@ -31,7 +31,7 @@ const schedMakespanBound = 1.35
 const schedRRGap = 1.5
 
 // runSched executes the SCHED experiment: the cost-model scheduler
-// against the PR-4 round-robin baseline on a deterministic virtual
+// against a blind round-robin baseline on a deterministic virtual
 // fleet.
 //
 // The job mix is not synthetic: every DRF-suite workload is analyzed by
@@ -89,8 +89,8 @@ func runSched(r *Runner) (*Output, error) {
 			},
 			Jobs: simJobs,
 			Opts: sched.Options{ForceRoundRobin: force},
-			// The baseline models the PR-4 Pool honestly: endpoints are
-			// picked round-robin at submit time with no backpressure.
+			// The baseline models blind round-robin honestly: endpoints
+			// are picked at submit time with no backpressure.
 			Unbounded: force,
 		}
 	}

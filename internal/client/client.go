@@ -1,8 +1,9 @@
 // Package client is the typed Go client for the arcsimd job API: submit
 // (single or batch), poll, SSE wait with Last-Event-ID resume, result
-// fetch, and cancel against one daemon — plus a Pool that spreads runs
-// across several daemons with per-endpoint health tracking and failover
-// (DESIGN.md "Distributed sweep execution" documents the policy).
+// fetch, and cancel against one daemon. Spreading runs across several
+// daemons with health tracking and failover is internal/sched/fleet's
+// job; the errors it reports (ErrNoEndpoints, ErrJobCanceled,
+// JobFailedError) live here so callers need not import it.
 //
 // Every unary call retries transient failures (network errors, 5xx,
 // 429) with exponential backoff and full jitter; 4xx client errors
@@ -27,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"arcsim/internal/cooldown"
 	"arcsim/internal/mesh"
 	"arcsim/internal/server"
 	"arcsim/internal/sim"
@@ -45,6 +47,31 @@ type (
 // simply be resubmitted: a restarted daemon serves proven results from
 // its persistent store without re-simulating.
 var ErrJobLost = errors.New("client: job lost (daemon restarted?)")
+
+// ErrNoEndpoints reports that every endpoint in the fleet is down (or
+// the fleet is empty). Callers with a local engine treat it as the
+// signal to fall back to in-process execution.
+var ErrNoEndpoints = errors.New("client: no healthy endpoints")
+
+// ErrJobCanceled reports a job an operator canceled (arcsimctl cancel)
+// on a healthy daemon. The dispatcher honors the cancellation: the
+// endpoint is not benched (it did nothing wrong) and the job is not
+// resubmitted elsewhere (that would resurrect what the operator
+// killed). Distinct from a drain-time cancellation, which is an
+// endpoint fault and does fail over.
+var ErrJobCanceled = errors.New("client: job canceled")
+
+// JobFailedError reports a job that a daemon ran to completion and which
+// failed deterministically (a simulation error, not an endpoint fault).
+// The dispatcher does not fail over on it: the run would fail
+// identically everywhere.
+type JobFailedError struct {
+	View JobView
+}
+
+func (e *JobFailedError) Error() string {
+	return fmt.Sprintf("job %s %s: %s", e.View.ID, e.View.State, e.View.Error)
+}
 
 // Retry tunes the transient-failure policy shared by unary calls and
 // SSE reconnects.
@@ -72,15 +99,11 @@ func (r Retry) normalized() Retry {
 
 // delay returns the full-jitter backoff for attempt (0-based): a uniform
 // draw from (0, Base*2^attempt] capped at Max, so a fleet of clients
-// spreads its retries instead of thundering back in lockstep. The shift
-// exponent is capped explicitly — an SSE follow that reconnects for
-// hours reaches attempt counts where Base<<attempt overflows, and an
-// overflowed shift landing in a clamp is not behavior to rely on.
+// spreads its retries instead of thundering back in lockstep. An SSE
+// follow that reconnects for hours reaches attempt counts where
+// Base<<attempt would overflow; cooldown.Backoff clamps those to Max.
 func (r Retry) delay(attempt int, rnd func() float64) time.Duration {
-	d := r.Max
-	if attempt >= 0 && attempt < maxCooldownShift && r.Base <= r.Max>>attempt {
-		d = r.Base << attempt
-	}
+	d := cooldown.Backoff(attempt, r.Base, r.Max)
 	return time.Duration((rnd()*0.999 + 0.001) * float64(d))
 }
 
@@ -164,9 +187,6 @@ func New(base string, opts Options) *Client {
 		stream: &http.Client{Transport: transport},
 	}
 }
-
-// Base returns the endpoint URL the client was built with.
-func (c *Client) Base() string { return c.base }
 
 // call performs one unary exchange with retries: marshal in (when
 // non-nil) as the JSON body, decode the response into out (when

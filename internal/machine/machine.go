@@ -92,6 +92,17 @@ func Default(cores int) Config {
 	}
 }
 
+// WithAIMEntries returns c with the AIM capacity set to entries,
+// keeping the AIM's associativity and latency; entries <= 0 keeps c's
+// AIM as is. It is the one place a requested AIM size (arcsim's
+// Config.AIMEntries, a bench run's, a daemon job's) meets a machine.
+func (c Config) WithAIMEntries(entries int) Config {
+	if entries > 0 {
+		c.AIM.Entries = entries
+	}
+	return c
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Cores <= 0 {

@@ -5,12 +5,13 @@
 // cancel confirmations) back into the Core.
 //
 // The division of labor mirrors internal/sched's package comment: the
-// Core decides, fleet does. Where client.Pool picks an endpoint per job
-// and babysits it, fleet keeps a whole sweep's worth of jobs in flight
-// across the fleet at once, pipelines work onto each daemon's queue, and
-// executes the Core's steal/preempt cancels with the requeue-safe
-// ?reason=preempt cancel the daemon recognizes — preserving the PR-4
-// exactly-once and cancel-reason guarantees end to end.
+// Core decides, fleet does. fleet is the one remote dispatcher
+// (cmd/experiments -remote): it keeps a whole sweep's worth of jobs in
+// flight across the fleet at once, pipelines work onto each daemon's
+// queue, fails jobs over when a daemon dies, and executes the Core's
+// steal/preempt cancels with the requeue-safe ?reason=preempt cancel
+// the daemon recognizes — every job completes exactly once, and an
+// operator's cancel is final.
 package fleet
 
 import (
@@ -328,9 +329,9 @@ func (s *Scheduler) deliver(id int64, out outcome) {
 	}
 }
 
-// failPendingIfDead mirrors client.Pool's ErrNoEndpoints contract: when
-// every endpoint is benched, pending jobs fail fast so callers can fall
-// back to local execution instead of waiting out cooldowns.
+// failPendingIfDead is the client.ErrNoEndpoints contract: when every
+// endpoint is benched, pending jobs fail fast so callers can fall back
+// to local execution instead of waiting out cooldowns.
 func (s *Scheduler) failPendingIfDead() {
 	snap := s.core.Snapshot()
 	if snap.Pending == 0 {
@@ -342,19 +343,23 @@ func (s *Scheduler) failPendingIfDead() {
 		}
 	}
 	for _, job := range s.core.FailPending() {
-		s.mu.Lock()
-		w := s.waiters[job.ID]
-		var lastErr error
-		if w != nil {
-			lastErr = w.lastErr
+		err := client.ErrNoEndpoints
+		if last := s.lastErr(job.ID); last != nil {
+			err = fmt.Errorf("%w (last: %v)", client.ErrNoEndpoints, last)
 		}
-		s.mu.Unlock()
-		if lastErr != nil {
-			s.deliver(job.ID, outcome{err: fmt.Errorf("%w (last: %v)", client.ErrNoEndpoints, lastErr)})
-		} else {
-			s.deliver(job.ID, outcome{err: client.ErrNoEndpoints})
-		}
+		s.deliver(job.ID, outcome{err: err})
 	}
+}
+
+// lastErr returns the most recent endpoint fault recorded against a
+// job, for context on its terminal error.
+func (s *Scheduler) lastErr(id int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if w := s.waiters[id]; w != nil {
+		return w.lastErr
+	}
+	return nil
 }
 
 // execute carries out the Core's directives. Start directives run their
@@ -369,16 +374,9 @@ func (s *Scheduler) execute(dirs []sched.Directive) {
 		case sched.DirCancel:
 			s.requestCancel(d.Endpoint, d.Job.ID)
 		case sched.DirFail:
-			s.mu.Lock()
-			w := s.waiters[d.Job.ID]
-			var lastErr error
-			if w != nil {
-				lastErr = w.lastErr
-			}
-			s.mu.Unlock()
 			err := fmt.Errorf("sched: job %s exhausted its endpoint-fault budget", d.Job.Label)
-			if lastErr != nil {
-				err = fmt.Errorf("%v (last: %w)", err, lastErr)
+			if last := s.lastErr(d.Job.ID); last != nil {
+				err = fmt.Errorf("%v (last: %w)", err, last)
 			}
 			s.deliver(d.Job.ID, outcome{err: err})
 		}
@@ -427,10 +425,13 @@ func (s *Scheduler) cancelRemote(ep string, id int64, remote string) {
 }
 
 // dispatch owns one (job, endpoint) attempt end to end: submit, follow,
-// classify the terminal state, and feed the Core. Its classification
-// mirrors client.Pool.runOn exactly — same taxonomy, same failover
-// semantics — with outcomes routed through the Core instead of a retry
-// loop.
+// classify the terminal state, and feed the Core. The taxonomy: done
+// delivers; a deterministic failure delivers *client.JobFailedError
+// (it would fail identically everywhere); an operator cancel delivers
+// client.ErrJobCanceled (never resurrected); a preempt cancel requeues;
+// a restarted daemon (client.ErrJobLost, or a reused id) resubmits
+// without benching; anything else — transport faults, drain cancels —
+// benches the endpoint and fails the job over.
 func (s *Scheduler) dispatch(ep string, id int64) {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -477,7 +478,10 @@ func (s *Scheduler) dispatch(ep string, id int64) {
 		return
 	}
 	if final.Spec != view.Spec {
-		// The id came back naming someone else's job (see Pool.runOn).
+		// Identity check: job ids embed a per-lifetime epoch so a
+		// restarted daemon 404s stale ids, but if an id ever does name
+		// someone else's job, the submit-time spec catches it here —
+		// before a foreign result is fetched into the sweep. Resubmit.
 		s.execute(s.core.Lost(ep, id))
 		s.failPendingIfDead()
 		return
@@ -490,12 +494,14 @@ func (s *Scheduler) dispatch(ep string, id int64) {
 			s.fault(ep, id, w, fmt.Errorf("result from %s: %w", ep, err))
 			return
 		}
-		s.deliver(id, outcome{res: res})
+		// The Core retires the job before its owner hears about it, so a
+		// caller's Snapshot after Run never shows the job in flight.
 		s.execute(s.core.Done(ep, id))
+		s.deliver(id, outcome{res: res})
 	case server.StateFailed:
 		// Deterministic failure: identical everywhere, no failover.
-		s.deliver(id, outcome{err: &client.JobFailedError{View: final}})
 		s.execute(s.core.Final(id))
+		s.deliver(id, outcome{err: &client.JobFailedError{View: final}})
 	case server.StateCanceled:
 		switch final.Error {
 		case server.CancelReasonDrain:
@@ -507,9 +513,9 @@ func (s *Scheduler) dispatch(ep string, id int64) {
 			s.execute(s.core.Canceled(ep, id))
 		default:
 			// Operator cancel: honored, never resurrected.
+			s.execute(s.core.Final(id))
 			s.deliver(id, outcome{err: fmt.Errorf("%w: job %s on %s: %s",
 				client.ErrJobCanceled, final.ID, ep, final.Error)})
-			s.execute(s.core.Final(id))
 		}
 	default:
 		s.fault(ep, id, w, fmt.Errorf("job %s ended %s on %s: %s", final.ID, final.State, ep, final.Error))

@@ -1,6 +1,6 @@
 // Package sched is the cost-model scheduler for a fleet of arcsimd
-// daemons. Where client.Pool round-robins jobs and reacts to failures,
-// sched plans: each job carries a predicted cost (internal/static's
+// daemons. Rather than round-robin jobs and react to failures, sched
+// plans: each job carries a predicted cost (internal/static's
 // verdict plus trace event and core counts — see EstimateCost), and the
 // scheduler dispatches longest-job-first onto the least-loaded healthy
 // endpoint, work-steals queued jobs back when an endpoint drains early,
@@ -26,8 +26,8 @@
 // Degraded mode: the cost model runs on observed endpoint state (worker
 // counts, queue depths). When that state is missing or stale — a probe
 // failing, a daemon serving unparseable /metrics — the Core falls back
-// to round-robin dispatch rather than scheduling on fiction; it degrades
-// to exactly the PR-4 Pool policy instead of wedging. DESIGN.md
+// to round-robin dispatch rather than scheduling on fiction: blind
+// submission-order dispatch with failover, never a wedge. DESIGN.md
 // "Cost-model scheduling" documents the full policy.
 package sched
 
@@ -36,6 +36,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"arcsim/internal/cooldown"
 )
 
 // Job is one schedulable unit of work. The scheduler never looks inside
@@ -136,7 +138,7 @@ const (
 	// ModeRoundRobin is the degraded policy used while observed load is
 	// missing or stale (and the forced baseline in experiments): jobs
 	// dispatch in submission order, round-robin across healthy
-	// endpoints, exactly like the PR-4 client.Pool.
+	// endpoints.
 	ModeRoundRobin
 )
 
@@ -164,7 +166,8 @@ type Options struct {
 	// (default 10s; simulation harnesses set it effectively infinite).
 	StaleAfter time.Duration
 	// CooldownBase/CooldownMax shape the exponential bench applied to a
-	// faulting endpoint (defaults 1s/30s, mirroring client.Pool).
+	// faulting endpoint (defaults cooldown.DefaultBase/DefaultMax,
+	// 1s/30s).
 	CooldownBase time.Duration
 	CooldownMax  time.Duration
 	// MaxAttempts is the per-job fault budget: a job requeued by
@@ -188,10 +191,10 @@ func (o Options) normalized() Options {
 		o.StaleAfter = 10 * time.Second
 	}
 	if o.CooldownBase <= 0 {
-		o.CooldownBase = time.Second
+		o.CooldownBase = cooldown.DefaultBase
 	}
 	if o.CooldownMax <= 0 {
-		o.CooldownMax = 30 * time.Second
+		o.CooldownMax = cooldown.DefaultMax
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 8
@@ -224,28 +227,20 @@ type jobState struct {
 	thief *ep
 }
 
-// maxCooldownShift bounds the bench backoff exponent, mirroring
-// client.Pool's policy (an overflowed Duration shift landing in a clamp
-// is not behavior to rely on).
-const maxCooldownShift = 16
-
 // ep is one endpoint's scheduler-side record.
 type ep struct {
 	name  string
 	index int
 
-	queued    []*jobState // dispatch order
-	running   map[int64]*jobState
-	stealing  map[int64]*jobState
-	fails     int
-	downUntil time.Time
+	queued   []*jobState // dispatch order
+	running  map[int64]*jobState
+	stealing map[int64]*jobState
+	health   cooldown.State
 
 	load    Load
 	loadAt  time.Time
 	hasLoad bool
 }
-
-func (e *ep) healthy(now time.Time) bool { return !now.Before(e.downUntil) }
 
 // slots is the endpoint's believed worker-pool size.
 func (e *ep) slots(opts Options) int {
@@ -391,7 +386,7 @@ func (c *Core) Done(endpoint string, id int64) []Directive {
 	c.detachLocked(js)
 	delete(c.jobs, id)
 	c.done[id] = true
-	e.fails, e.downUntil = 0, time.Time{}
+	e.health.Up()
 	return c.planLocked()
 }
 
@@ -421,15 +416,7 @@ func (c *Core) Fault(endpoint string, id int64) []Directive {
 	if e == nil {
 		return nil
 	}
-	now := c.opts.Now()
-	if e.fails < maxCooldownShift+1 {
-		e.fails++
-	}
-	cool := c.opts.CooldownMax
-	if shift := uint(e.fails - 1); shift < maxCooldownShift && c.opts.CooldownBase <= c.opts.CooldownMax>>shift {
-		cool = c.opts.CooldownBase << shift
-	}
-	e.downUntil = now.Add(cool)
+	e.health.Down(c.opts.Now(), c.opts.CooldownBase, c.opts.CooldownMax)
 	return c.requeueLocked(e, id, true)
 }
 
@@ -482,7 +469,7 @@ func (c *Core) Canceled(endpoint string, id int64) []Directive {
 	}
 	thief := js.thief
 	c.detachLocked(js)
-	if thief != nil && thief.healthy(c.opts.Now()) && thief.inFlight() < thief.capacity(c.opts) {
+	if thief != nil && thief.health.Healthy(c.opts.Now()) && thief.inFlight() < thief.capacity(c.opts) {
 		c.dispatchLocked(js, thief)
 		dirs := []Directive{{Kind: DirStart, Job: js.job, Endpoint: thief.name}}
 		return append(dirs, c.planLocked()...)
@@ -549,8 +536,8 @@ func (c *Core) Tick() []Directive {
 }
 
 // FailPending removes and returns every pending job: the driver calls it
-// when the whole fleet is benched and the owner should fall back (the
-// client.Pool ErrNoEndpoints analogue). In-flight jobs are untouched.
+// when the whole fleet is benched and the owner should fall back (fleet
+// reports them as client.ErrNoEndpoints). In-flight jobs are untouched.
 func (c *Core) FailPending() []*Job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -582,7 +569,7 @@ func (c *Core) modeLocked(now time.Time) bool {
 		return true
 	}
 	for _, e := range c.eps {
-		if !e.healthy(now) {
+		if !e.health.Healthy(now) {
 			continue
 		}
 		if !e.hasLoad || now.Sub(e.loadAt) > c.opts.StaleAfter {
@@ -671,7 +658,7 @@ func (c *Core) planLocked() []Directive {
 	now := c.opts.Now()
 	var healthy []*ep
 	for _, e := range c.eps {
-		if e.healthy(now) {
+		if e.health.Healthy(now) {
 			healthy = append(healthy, e)
 		}
 	}
@@ -693,7 +680,7 @@ func (c *Core) planLocked() []Directive {
 }
 
 // assignRoundRobinLocked is the degraded policy: submission order,
-// next endpoint with room, exactly the PR-4 Pool's dispatch shape.
+// next endpoint with room, blind to cost and load.
 func (c *Core) assignRoundRobinLocked(healthy []*ep) []Directive {
 	var dirs []Directive
 	for len(c.pending) > 0 {
@@ -911,7 +898,7 @@ func (c *Core) Snapshot() Snapshot {
 	for _, e := range c.eps {
 		s.Endpoints = append(s.Endpoints, EndpointSnapshot{
 			Name:      e.name,
-			Healthy:   e.healthy(now),
+			Healthy:   e.health.Healthy(now),
 			HasLoad:   e.hasLoad,
 			Slots:     e.slots(c.opts),
 			Capacity:  e.capacity(c.opts),

@@ -237,7 +237,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestRoundRobinBaseline pins the degraded policy's behavior: with
-// ForceRoundRobin and no backpressure (the PR-4 Pool model), the
+// ForceRoundRobin and no backpressure (blind round-robin), the
 // heterogeneous mix lands far from the lower bound — the gap the
 // cost-model scheduler exists to close, and the SCHED experiment's
 // headline comparison.

@@ -61,9 +61,9 @@ type Config struct {
 	// the harness (virtual clock; samples never go stale unless Stale
 	// below is set).
 	Opts sched.Options
-	// Unbounded removes per-endpoint capacity backpressure, modeling the
-	// PR-4 round-robin Pool, which assigns every job at submit time with
-	// no view of endpoint load. Pair with Opts.ForceRoundRobin for the
+	// Unbounded removes per-endpoint capacity backpressure, modeling a
+	// blind round-robin dispatcher that assigns every job at submit time
+	// with no view of endpoint load. Pair with Opts.ForceRoundRobin for the
 	// baseline policy the SCHED experiment compares against.
 	Unbounded bool
 	// Stale, when true, never feeds the Core any load samples, scripting

@@ -733,10 +733,7 @@ func normalizeSpec(spec *JobSpec) error {
 	}
 	// Building the machine validates protocol name, core count, and AIM
 	// geometry with the engine's own rules.
-	mcfg := machine.Default(spec.Cores)
-	if spec.AIMEntries > 0 {
-		mcfg.AIM.Entries = spec.AIMEntries
-	}
+	mcfg := machine.Default(spec.Cores).WithAIMEntries(spec.AIMEntries)
 	if _, _, err := protocols.Build(spec.Protocol, mcfg); err != nil {
 		return err
 	}
